@@ -201,6 +201,11 @@ pub struct ProphetCritic<P, C> {
     bhr: HistoryBits,
     bor: HistoryBits,
     inflight: VecDeque<InFlight>,
+    /// Length of the critiqued prefix of `inflight`: critiques always take
+    /// the oldest uncritiqued branch, an override truncates right behind
+    /// it, and resolve pops a critiqued head or clears everything, so the
+    /// critiqued branches are always exactly the oldest `critiqued` ones.
+    critiqued: usize,
     next_seq: u64,
     stats: CritiqueStats,
     /// Commit-time prophet trainings queued since the last prophet read,
@@ -243,6 +248,7 @@ impl<P: DirectionPredictor, C: Critic> ProphetCritic<P, C> {
             // (the simulators cap in-flight branches at 48): the hot loop
             // then never reallocates the ring buffer.
             inflight: VecDeque::with_capacity(INFLIGHT_CAPACITY),
+            critiqued: 0,
             next_seq: 0,
             stats: CritiqueStats::new(),
             pending_prophet: Vec::with_capacity(TRAIN_CHUNK),
@@ -401,7 +407,13 @@ impl<P: DirectionPredictor, C: Critic> ProphetCritic<P, C> {
     }
 
     fn oldest_uncritiqued(&self) -> Option<usize> {
-        self.inflight.iter().position(|b| b.critique.is_none())
+        let idx = (self.critiqued < self.inflight.len()).then_some(self.critiqued);
+        debug_assert_eq!(
+            idx,
+            self.inflight.iter().position(|b| b.critique.is_none()),
+            "critiqued-prefix cursor out of step"
+        );
+        idx
     }
 
     /// Whether the oldest uncritiqued branch has gathered enough future bits
@@ -473,6 +485,7 @@ impl<P: DirectionPredictor, C: Critic> ProphetCritic<P, C> {
         }
 
         self.inflight[idx].critique = Some(CritiqueRecord { decision, bor_used });
+        self.critiqued = idx + 1;
 
         CritiqueEvent {
             id,
@@ -514,12 +527,14 @@ impl<P: DirectionPredictor, C: Critic> ProphetCritic<P, C> {
             // branch's checkpoints, inserting the now-known outcome (§3.3).
             flushed = self.inflight.len() - 1;
             self.inflight.clear();
+            self.critiqued = 0;
             self.bhr = head.bhr_at_predict;
             self.bhr.push(outcome);
             self.bor = head.bor_before;
             self.bor.push(outcome);
         } else {
             self.inflight.pop_front();
+            self.critiqued -= 1;
         }
 
         // Non-speculative, commit-time training (§3.2). The critic sees the
@@ -826,5 +841,72 @@ mod tests {
         let p2 = h.predict(Pc::new(0x20));
         let expect = (u64::from(p1.taken) << 1) | u64::from(p2.taken);
         assert_eq!(h.bor().recent(2), expect);
+    }
+
+    /// Drives `h` through `steps` seeded random protocol operations —
+    /// predictions, ready and forced critiques, resolutions with random
+    /// outcomes — and checks after every one that the critiqued-prefix
+    /// cursor equals a linear scan for the oldest uncritiqued branch.
+    /// Returns `(overrides, mispredicts)` seen.
+    fn drive_cursor<C: Critic>(
+        mut h: ProphetCritic<Bimodal, C>,
+        seed: u64,
+        steps: usize,
+    ) -> (u64, u64) {
+        use workloads::rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (mut overrides, mut mispredicts) = (0, 0);
+        for _ in 0..steps {
+            match rng.gen_range(0u32..100) {
+                0..=39 if h.in_flight() < 48 => {
+                    let _ = h.predict(Pc::new(0x1000 + rng.gen_range(0u64..32) * 4));
+                }
+                40..=64 => {
+                    if let Some(c) = h.critique_next() {
+                        overrides += u64::from(c.overridden);
+                    }
+                }
+                65..=79 => {
+                    if let Some(c) = h.force_critique_next() {
+                        overrides += u64::from(c.overridden);
+                    }
+                }
+                _ => {
+                    if let Ok(r) = h.resolve_oldest(rng.gen::<bool>()) {
+                        mispredicts += u64::from(r.mispredict);
+                    }
+                }
+            }
+            let scan = h.inflight.iter().position(|b| b.critique.is_none());
+            let cursor = (h.critiqued < h.inflight.len()).then_some(h.critiqued);
+            assert_eq!(cursor, scan, "seed {seed}: cursor out of step");
+            assert!(
+                h.critiqued <= h.inflight.len(),
+                "seed {seed}: cursor past the queue"
+            );
+        }
+        (overrides, mispredicts)
+    }
+
+    #[test]
+    fn critique_cursor_matches_the_linear_scan() {
+        let (mut overrides, mut mispredicts) = (0, 0);
+        for seed in 0..8u64 {
+            for f in [0usize, 1, 4, 8] {
+                let critic = TaggedGshareCritic::new(TaggedGshare::new(64, 4, 9, 8));
+                let (o, m) =
+                    drive_cursor(ProphetCritic::new(Bimodal::new(16), critic, f), seed, 2000);
+                overrides += o;
+                mispredicts += m;
+                let null = ProphetCritic::new(Bimodal::new(16), NullCritic::new(), f);
+                let (_, m) = drive_cursor(null, seed, 2000);
+                mispredicts += m;
+            }
+        }
+        // The sequences must exercise both truncating paths.
+        assert!(
+            overrides > 0 && mispredicts > 0,
+            "{overrides} overrides, {mispredicts} mispredicts"
+        );
     }
 }

@@ -501,21 +501,21 @@ mod tests {
 
     #[test]
     fn multi_line_chunk_serializes_on_the_fetch_port() {
-        let mut p = FrontendPipeline::new(PipelineParams::example());
-        // 90 uops span ~6 lines: port-limited (6 cycles) beats bandwidth
-        // on a single port... bandwidth is 15 cycles here, so use a short
-        // chunk spanning many lines via a large pc footprint instead.
-        let _ = p.fetch(0x4_0000, 6, 0.0, true); // warm nothing relevant
-        let start = p.fetch_clock();
-        // 6 uops but force a 4-line span by pc arithmetic: uops*4 = 24
-        // bytes -> 1-2 lines; the port bound only exceeds bw for spans
-        // > width/ports... with width 6 and 1 port, a 2-line chunk costs
-        // 2 cycles > 1 cycle of bandwidth.
-        let done = p.fetch(0x4_0040, 6, 0.0, true);
-        let _ = start;
-        let _ = done;
-        // Port pressure is visible through the events/clock monotonicity.
-        assert!(p.fetch_clock() >= start + 1.0);
+        // 6 uops ending at 0x4_0050 span bytes 0x4_0038..=0x4_0050: two
+        // lines. Bandwidth alone costs 1 cycle at width 6, so once both
+        // lines are warm the chunk costs lines / ports cycles.
+        let cost = |fetch_ports: u64| {
+            let mut p = FrontendPipeline::new(PipelineParams {
+                fetch_ports,
+                ..PipelineParams::example()
+            });
+            let _ = p.fetch(0x4_0050, 6, 0.0, true); // warm both lines
+            let start = p.fetch_clock();
+            p.fetch(0x4_0050, 6, 0.0, true) - start
+        };
+        let (one, two) = (cost(1), cost(2));
+        assert!((one - 2.0).abs() < 1e-9, "one port: {one}");
+        assert!((two - 1.0).abs() < 1e-9, "two ports: {two}");
     }
 
     #[test]
@@ -574,23 +574,26 @@ mod tests {
     #[test]
     fn late_critique_counts_as_forced() {
         let mut p = FrontendPipeline::new(tiny());
-        // Many chunks fetched before the head's critique: the critic
-        // issues 1/cycle, the consumer has long taken the head.
+        // Many chunks fetched before the head's critique.
         for i in 0..20 {
             let _ = p.fetch(0x3000 + i * 4, 6, 0.0, false);
         }
-        // Burn the critic clock forward.
+        // Burn the critic clock forward. Its backlog is skipped, never
+        // queued: the critic runs at most one cycle ahead of the fetch
+        // clock, so even the 20th critique issues 2 cycles after fetch
+        // and is on time for the 4-entry FTQ.
         for i in 0..19 {
             let _ = p.critique(i, false);
         }
         let last = p.critique(19, false);
-        // Whether late depends on timing; explicit forcing always counts.
+        assert!((last.time - p.fetch_clock() - 2.0).abs() < 1e-9, "{last:?}");
+        assert!(!last.late);
+        // Explicit forcing always counts, however early it issues.
         let forced_before = p.events().forced_critiques;
         let _ = p.fetch(0x9000, 6, 0.0, false);
         let issue = p.critique(20, true);
         assert!(issue.late);
         assert_eq!(p.events().forced_critiques, forced_before + 1);
-        let _ = last;
     }
 
     #[test]

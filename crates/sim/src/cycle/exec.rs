@@ -32,6 +32,10 @@ pub struct ExecModel<'p, 'h, P, C> {
     hybrid: &'h mut ProphetCritic<P, C>,
     btb: Btb,
     inflight: VecDeque<ExecInflight>,
+    /// Every entry before this index is critiqued or a BTB miss (never
+    /// critiqued): the hybrid critiques in fetch order, so the next
+    /// critiqued branch is at or after it.
+    next_critique: usize,
 }
 
 impl<'p, 'h, P, C> ExecModel<'p, 'h, P, C>
@@ -52,14 +56,25 @@ where
             hybrid,
             btb: Btb::new(m.btb_entries, m.btb_ways),
             inflight: VecDeque::with_capacity(2 * m.ftq_entries + 1),
+            next_critique: 0,
         }
     }
 
-    fn index_of(&self, id: BranchId) -> usize {
-        self.inflight
-            .iter()
-            .position(|r| r.id == Some(id))
-            .expect("critiqued branch is in flight")
+    /// The slot of the branch the hybrid just critiqued; advances the
+    /// critique cursor past it.
+    fn critiqued_index(&mut self, id: BranchId) -> usize {
+        let idx = self.next_critique
+            + self
+                .inflight
+                .range(self.next_critique..)
+                .position(|r| r.id == Some(id))
+                .expect("critiqued branch is in flight");
+        debug_assert_eq!(
+            Some(idx),
+            self.inflight.iter().position(|r| r.id == Some(id))
+        );
+        self.next_critique = idx + 1;
+        idx
     }
 
     fn apply_override(&mut self, idx: usize, final_taken: bool) {
@@ -119,7 +134,7 @@ where
 
     fn critique_next(&mut self) -> Option<Critique> {
         let cr = self.hybrid.critique_next()?;
-        let idx = self.index_of(cr.id);
+        let idx = self.critiqued_index(cr.id);
         if cr.overridden {
             self.apply_override(idx, cr.final_taken);
         }
@@ -131,7 +146,7 @@ where
 
     fn force_critique(&mut self) -> Option<Critique> {
         let cr = self.hybrid.force_critique_next()?;
-        let idx = self.index_of(cr.id);
+        let idx = self.critiqued_index(cr.id);
         if cr.overridden {
             self.apply_override(idx, cr.final_taken);
         }
@@ -146,28 +161,25 @@ where
             .inflight
             .front()
             .expect("resolve with a branch in flight");
-        let mispredict = match head.id {
-            None => {
-                self.inflight.pop_front();
-                false
-            }
-            Some(_) => {
-                let res = self
-                    .hybrid
-                    .resolve_oldest(head.outcome)
-                    .expect("critiqued head resolves");
-                if res.mispredict {
-                    // Squash everything younger and restart fetch down the
-                    // resolved outcome.
-                    self.inflight.clear();
-                    self.walker.restore(&head.checkpoint);
-                    self.walker.follow(head.outcome);
-                } else {
-                    self.inflight.pop_front();
-                }
-                res.mispredict
-            }
-        };
+        // A BTB miss was never predicted: it retires without the hybrid.
+        let mispredict = head.id.is_some()
+            && self
+                .hybrid
+                .resolve_oldest(head.outcome)
+                .expect("critiqued head resolves")
+                .mispredict;
+        if mispredict {
+            // Squash everything younger and restart fetch down the
+            // resolved outcome.
+            self.inflight.clear();
+            self.next_critique = 0;
+            self.walker.restore(&head.checkpoint);
+            self.walker.follow(head.outcome);
+        } else {
+            self.inflight.pop_front();
+            // A BTB-miss head can retire before any critique passed it.
+            self.next_critique = self.next_critique.saturating_sub(1);
+        }
         self.btb.allocate(Pc::new(head.pc), head.taken_target, true);
         self.walker.release(&head.checkpoint);
         Resolution { mispredict }

@@ -5,12 +5,25 @@
 
 use crate::params::{CacheParams, MachineParams};
 
+/// Tag of a way that holds no line. A real tag is `addr >> line_shift >>
+/// set_bits` with a line of at least 2 bytes, so it never reaches it.
+const INVALID: u64 = u64::MAX;
+
 /// One set-associative cache level with true-LRU replacement.
+///
+/// Tags and LRU stamps live in two flat `sets × ways` arrays; set `s`
+/// owns indices `s * ways .. (s + 1) * ways`. A way never filled holds
+/// the invalid tag `u64::MAX` and stamp 0, and every fill stamps the
+/// (already advanced, so ≥ 1) clock. The victim is the first way with
+/// the minimum stamp: never-filled ways win, in index order, then the
+/// least recently used line.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    /// tag storage: sets × ways of (valid, tag, lru)
-    sets: Vec<Vec<(bool, u64, u64)>>,
+    tags: Vec<u64>,
+    lru: Vec<u64>,
+    ways: usize,
     line_shift: u32,
+    set_bits: u32,
     set_mask: u64,
     clock: u64,
     hits: u64,
@@ -19,12 +32,21 @@ pub struct Cache {
 
 impl Cache {
     /// Builds a cache from its parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is smaller than 2 bytes or the geometry does
+    /// not give a power-of-two set count.
     #[must_use]
     pub fn new(p: &CacheParams) -> Self {
+        assert!(p.line_bytes >= 2, "cache lines must be at least 2 bytes");
         let sets = p.sets();
         Self {
-            sets: vec![vec![(false, 0, 0); p.ways]; sets],
+            tags: vec![INVALID; sets * p.ways],
+            lru: vec![0; sets * p.ways],
+            ways: p.ways,
             line_shift: p.line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
             set_mask: (sets - 1) as u64,
             clock: 0,
             hits: 0,
@@ -32,53 +54,64 @@ impl Cache {
         }
     }
 
+    /// The first way index of `addr`'s set, and its tag.
     fn locate(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
         (
-            (line & self.set_mask) as usize,
-            line >> self.sets.len().trailing_zeros(),
+            (line & self.set_mask) as usize * self.ways,
+            line >> self.set_bits,
         )
+    }
+
+    /// The resident way of `tag` in the set starting at `base`, if any.
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| base + w)
+    }
+
+    /// Replaces the first minimum-stamp way of the set at `base` with `tag`.
+    fn install(&mut self, base: usize, tag: u64) {
+        let stamps = &self.lru[base..base + self.ways];
+        let mut victim = 0;
+        for (w, &s) in stamps.iter().enumerate().skip(1) {
+            if s < stamps[victim] {
+                victim = w;
+            }
+        }
+        self.tags[base + victim] = tag;
+        self.lru[base + victim] = self.clock;
     }
 
     /// Accesses `addr`; returns whether it hit. Misses allocate the line.
     pub fn access(&mut self, addr: u64) -> bool {
         self.clock += 1;
-        let (set, tag) = self.locate(addr);
-        let ways = &mut self.sets[set];
-        if let Some(w) = ways.iter_mut().find(|(v, t, _)| *v && *t == tag) {
-            w.2 = self.clock;
+        let (base, tag) = self.locate(addr);
+        if let Some(way) = self.find(base, tag) {
+            self.lru[way] = self.clock;
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|(v, _, lru)| (*v, *lru))
-            .expect("cache has ways");
-        *victim = (true, tag, self.clock);
+        self.install(base, tag);
         false
     }
 
     /// Installs a line without counting an access (prefetch fill).
     pub fn fill(&mut self, addr: u64) {
         self.clock += 1;
-        let (set, tag) = self.locate(addr);
-        let ways = &mut self.sets[set];
-        if ways.iter().any(|(v, t, _)| *v && *t == tag) {
-            return;
+        let (base, tag) = self.locate(addr);
+        if self.find(base, tag).is_none() {
+            self.install(base, tag);
         }
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|(v, _, lru)| (*v, *lru))
-            .expect("cache has ways");
-        *victim = (true, tag, self.clock);
     }
 
     /// Whether `addr` is resident (no state change).
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.locate(addr);
-        self.sets[set].iter().any(|(v, t, _)| *v && *t == tag)
+        let (base, tag) = self.locate(addr);
+        self.find(base, tag).is_some()
     }
 
     /// Demand hits so far.
@@ -126,8 +159,9 @@ impl StreamPrefetcher {
         }
     }
 
-    /// Observes a demand line address; returns lines to prefetch.
-    fn observe(&mut self, line: u64) -> Vec<u64> {
+    /// Observes a demand line address; returns how many lines after it
+    /// to prefetch (0 = none).
+    fn observe(&mut self, line: u64) -> u64 {
         self.clock += 1;
         // Existing stream one line behind?
         if let Some(s) = self
@@ -141,9 +175,9 @@ impl StreamPrefetcher {
             if s.1 >= 2 {
                 let depth = u64::from(s.1.min(4));
                 self.issued += depth;
-                return (1..=depth).map(|d| line + d).collect();
+                return depth;
             }
-            return Vec::new();
+            return 0;
         }
         // Allocate a new stream over the LRU slot.
         let slot = self
@@ -152,7 +186,7 @@ impl StreamPrefetcher {
             .min_by_key(|(_, _, age)| *age)
             .expect("prefetcher has streams");
         *slot = (line, 0, self.clock);
-        Vec::new()
+        0
     }
 }
 
@@ -208,8 +242,11 @@ impl Hierarchy {
         }
         // The prefetcher observes the full L2 access stream (hits included,
         // so a stream keeps training once its own prefetches start hitting).
-        for line in self.prefetcher.observe(addr >> 6) {
-            self.l2.fill(line << 6);
+        let shift = self.l2.line_shift;
+        let line = addr >> shift;
+        let depth = self.prefetcher.observe(line);
+        for next in line + 1..=line + depth {
+            self.l2.fill(next << shift);
         }
         if self.l2.access(addr) {
             self.pub_l2_hits += 1;
@@ -321,6 +358,25 @@ mod tests {
             "prefetcher should cover a linear stream, {mem_accesses_late} late misses"
         );
         assert!(h.prefetches() > 0);
+    }
+
+    #[test]
+    fn prefetcher_follows_the_l2_line_size() {
+        // 128-byte L2 lines: a stream striding one L2 line per access is
+        // consecutive at L2 granularity (and two apart at 64 bytes), so
+        // only a prefetcher working in L2 lines turns it into L2 hits.
+        let mut m = MachineParams::isca04();
+        m.l2.line_bytes = 128;
+        let mut h = Hierarchy::new(&m);
+        for i in 0..64u64 {
+            let _ = h.access(0x800_0000 + i * 128);
+        }
+        let (_, l2_hits, mem) = h.counts();
+        assert!(h.prefetches() > 0);
+        assert!(
+            l2_hits >= 48 && mem <= 16,
+            "prefetches must cover the 128-byte-line stream: {l2_hits} L2 hits, {mem} misses"
+        );
     }
 
     #[test]

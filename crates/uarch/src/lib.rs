@@ -24,5 +24,5 @@ mod datagen;
 mod params;
 
 pub use cache::{AccessLevel, Cache, Hierarchy};
-pub use datagen::{DataProfile, DataStream};
+pub use datagen::{Accesses, DataProfile, DataStream};
 pub use params::{CacheParams, MachineParams};
