@@ -263,12 +263,13 @@ impl FrontendPipeline {
         }
 
         // I-cache: every line of the chunk goes through the fetch port.
-        let first_line = pc.saturating_sub(uops * 4) >> 6;
-        let last_line = pc >> 6;
+        let shift = self.p.icache.line_bytes.trailing_zeros();
+        let first_line = pc.saturating_sub(uops * 4) >> shift;
+        let last_line = pc >> shift;
         let lines = last_line - first_line + 1;
         let mut miss_stall = 0.0;
         for line in first_line..=last_line {
-            if !self.icache.access(line << 6) {
+            if !self.icache.access(line << shift) {
                 miss_stall += self.p.icache_miss_cycles as f64;
             }
         }
@@ -516,6 +517,24 @@ mod tests {
         let (one, two) = (cost(1), cost(2));
         assert!((one - 2.0).abs() < 1e-9, "one port: {one}");
         assert!((two - 1.0).abs() < 1e-9, "two ports: {two}");
+    }
+
+    #[test]
+    fn fetch_lines_follow_the_icache_line_size() {
+        // With 128-byte lines the same 6-uop chunk (bytes
+        // 0x4_0038..=0x4_0050) sits in one line, so a single port
+        // fetches it in one cycle once warm.
+        let mut icache = PipelineParams::example().icache;
+        icache.line_bytes = 128;
+        let mut p = FrontendPipeline::new(PipelineParams {
+            fetch_ports: 1,
+            icache,
+            ..PipelineParams::example()
+        });
+        let _ = p.fetch(0x4_0050, 6, 0.0, true);
+        let start = p.fetch_clock();
+        let warm = p.fetch(0x4_0050, 6, 0.0, true) - start;
+        assert!((warm - 1.0).abs() < 1e-9, "one 128-byte line: {warm}");
     }
 
     #[test]

@@ -246,10 +246,10 @@ impl DirectionPredictor for TaggedGshare {
 
     /// Fused kernel: one hash and one LRU-touching set probe per element.
     ///
-    /// The scalar path peeks (no LRU/clock effect) for the prediction, then
+    /// The scalar path peeks (no LRU effect) for the prediction, then
     /// `lookup`s for training; since `peek` is side-effect-free, reading the
     /// counter out of the single `lookup` before updating it leaves the
-    /// clock/LRU sequence — and therefore every future victim choice —
+    /// recency-rank sequence — and therefore every future victim choice —
     /// identical.
     fn predict_block(&mut self, inputs: &[PredictInput]) -> PredictBlock {
         let mut out = PredictBlock::new();

@@ -7,7 +7,7 @@
 //! vectors-of-vectors-of-structs. The packing is an implementation detail —
 //! the observable semantics (indexing, saturation, LRU victim choice) are
 //! bit-identical to a plain `Vec<SatCounter>` / array-of-structs layout, and
-//! the tests below pin that equivalence.
+//! the tests below and `tests/tagged_table_equiv.rs` pin that equivalence.
 
 use crate::counter::{packed_update, SatCounter};
 use crate::history::mask;
@@ -209,27 +209,32 @@ pub enum TagLookup {
     Miss,
 }
 
+/// Tag of a way that holds no entry. Stored tags are masked to at most 32
+/// bits, so no real tag reaches it.
+const EMPTY: u64 = u64::MAX;
+
 /// A set-associative table of tagged payloads with true-LRU replacement.
 ///
 /// This is the structure behind the tagged gshare critic (“similar to an
 /// N-way associative cache, with each data item being a two-bit counter”,
-/// §6), the filter tag table of the filtered perceptron, and the BTB.
+/// §6), the filter tag table of the filtered perceptron, YAGS's direction
+/// caches and the BTB.
 ///
-/// The ways are stored structure-of-arrays: four flat parallel vectors
-/// (valid / tag / LRU stamp / payload) indexed `set * ways + way`, so a set
+/// The ways are stored structure-of-arrays: three flat parallel vectors
+/// (tag / recency rank / payload) indexed `set * ways + way`, so a set
 /// probe touches contiguous memory per field instead of hopping across
-/// per-way structs. Way order within a set — which decides the victim among
-/// equally-stale candidates — is the array order, exactly as in the
-/// array-of-structs layout.
+/// per-way structs. A never-filled way holds the tag `u64::MAX`. A set's
+/// ranks are a permutation of `0..ways`: rank 0 is the most recently used
+/// way and rank `ways - 1` the victim. A new set starts at `ranks[w] =
+/// ways - 1 - w`, so empty ways fill in way order before any entry is
+/// evicted, and after that the least recently used entry goes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaggedTable<T> {
-    valid: Vec<bool>,
     tags: Vec<u64>,
-    lru: Vec<u32>,
+    ranks: Vec<u8>,
     data: Vec<T>,
     ways: usize,
     tag_bits: usize,
-    clock: u32,
     set_mask: u64,
 }
 
@@ -239,25 +244,27 @@ impl<T: Clone> TaggedTable<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a non-zero power of two, `ways == 0`, or
-    /// `tag_bits` is 0 or greater than 32.
+    /// Panics if `sets` is not a non-zero power of two, `ways` is outside
+    /// `1..=256`, or `tag_bits` is 0 or greater than 32.
     #[must_use]
     pub fn new(sets: usize, ways: usize, tag_bits: usize, fill: T) -> Self {
         assert!(sets.is_power_of_two(), "sets {sets} must be a power of two");
-        assert!(ways > 0, "ways must be non-zero");
+        assert!(
+            (1..=256).contains(&ways),
+            "tagged table ways {ways} must be in 1..=256"
+        );
         assert!(
             (1..=32).contains(&tag_bits),
             "tag width {tag_bits} out of range"
         );
         let slots = sets * ways;
+        let oldest = (ways - 1) as u8;
         Self {
-            valid: vec![false; slots],
-            tags: vec![0; slots],
-            lru: vec![0; slots],
+            tags: vec![EMPTY; slots],
+            ranks: (0..slots).map(|s| oldest - (s % ways) as u8).collect(),
             data: vec![fill; slots],
             ways,
             tag_bits,
-            clock: 0,
             set_mask: (sets - 1) as u64,
         }
     }
@@ -265,7 +272,7 @@ impl<T: Clone> TaggedTable<T> {
     /// Number of sets.
     #[must_use]
     pub fn sets(&self) -> usize {
-        self.valid.len() / self.ways
+        self.tags.len() / self.ways
     }
 
     /// Associativity.
@@ -289,7 +296,7 @@ impl<T: Clone> TaggedTable<T> {
     /// Total entry capacity (sets × ways).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.valid.len()
+        self.tags.len()
     }
 
     /// The first slot of the set selected by `index`.
@@ -301,10 +308,28 @@ impl<T: Clone> TaggedTable<T> {
         tag & mask(self.tag_bits)
     }
 
-    /// The slot holding `tag` in the set starting at `base`, if any —
-    /// scanning in way order, as the victim search does.
-    fn find(&self, base: usize, tag: u64) -> Option<usize> {
-        (base..base + self.ways).find(|&s| self.valid[s] && self.tags[s] == tag)
+    /// One pass over the set at `base` with no early exit: the slot
+    /// holding `tag` (`None` if absent) and the victim slot.
+    fn probe(&self, base: usize, tag: u64) -> (Option<usize>, usize) {
+        let oldest = (self.ways - 1) as u8;
+        let tags = &self.tags[base..base + self.ways];
+        let ranks = &self.ranks[base..base + self.ways];
+        let (mut hit, mut victim) = (self.ways, 0);
+        for (w, (&t, &r)) in tags.iter().zip(ranks).enumerate() {
+            hit = if t == tag { w } else { hit };
+            victim = if r == oldest { w } else { victim };
+        }
+        ((hit < self.ways).then_some(base + hit), base + victim)
+    }
+
+    /// Makes `slot` the most recently used way of the set at `base`.
+    fn touch(&mut self, base: usize, slot: usize) {
+        let ranks = &mut self.ranks[base..base + self.ways];
+        let old = ranks[slot - base];
+        for r in ranks.iter_mut() {
+            *r += u8::from(*r < old);
+        }
+        ranks[slot - base] = 0;
     }
 
     /// Looks up `tag` in the set selected by `index` without touching LRU
@@ -312,7 +337,9 @@ impl<T: Clone> TaggedTable<T> {
     #[must_use]
     pub fn peek(&self, index: u64, tag: u64) -> Option<&T> {
         let tag = self.masked_tag(tag);
-        self.find(self.base_of(index), tag).map(|s| &self.data[s])
+        self.probe(self.base_of(index), tag)
+            .0
+            .map(|s| &self.data[s])
     }
 
     /// Looks up `tag` in the set selected by `index`, updating LRU state on a
@@ -320,9 +347,9 @@ impl<T: Clone> TaggedTable<T> {
     pub fn lookup(&mut self, index: u64, tag: u64) -> Option<&mut T> {
         let tag = self.masked_tag(tag);
         let base = self.base_of(index);
-        self.clock = self.clock.wrapping_add(1);
-        self.find(base, tag).map(|s| {
-            self.lru[s] = self.clock;
+        let hit = self.probe(base, tag).0;
+        hit.map(|s| {
+            self.touch(base, s);
             &mut self.data[s]
         })
     }
@@ -334,43 +361,31 @@ impl<T: Clone> TaggedTable<T> {
     pub fn insert(&mut self, index: u64, tag: u64, data: T) -> TagLookup {
         let tag = self.masked_tag(tag);
         let base = self.base_of(index);
-        self.clock = self.clock.wrapping_add(1);
-        if let Some(s) = self.find(base, tag) {
-            self.data[s] = data;
-            self.lru[s] = self.clock;
-            return TagLookup::Hit;
+        let (hit, victim) = self.probe(base, tag);
+        let slot = hit.unwrap_or(victim);
+        self.tags[slot] = tag;
+        self.data[slot] = data;
+        self.touch(base, slot);
+        if hit.is_some() {
+            TagLookup::Hit
+        } else {
+            TagLookup::Miss
         }
-        // Victim: first invalid way in way order, else the least recently
-        // used one (first such way on an LRU-stamp tie).
-        let victim = (base..base + self.ways)
-            .min_by_key(|&s| {
-                if self.valid[s] {
-                    (1u64, u64::from(self.lru[s]))
-                } else {
-                    (0, 0)
-                }
-            })
-            .expect("set has at least one way");
-        self.valid[victim] = true;
-        self.tags[victim] = tag;
-        self.data[victim] = data;
-        self.lru[victim] = self.clock;
-        TagLookup::Miss
     }
 
     /// Number of valid entries currently held.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.valid.iter().filter(|v| **v).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// Iterates over all valid `(set, tag, data)` triples.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u64, &T)> {
-        self.valid
+        self.tags
             .iter()
             .enumerate()
-            .filter(|(_, v)| **v)
-            .map(|(s, _)| (s / self.ways, self.tags[s], &self.data[s]))
+            .filter(|(_, &t)| t != EMPTY)
+            .map(|(s, &t)| (s / self.ways, t, &self.data[s]))
     }
 }
 
@@ -616,6 +631,18 @@ mod tests {
         for tag in [0x1u64, 0x2, 0x3, 0x4] {
             assert!(t.peek(0, tag).is_some());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be in 1..=256")]
+    fn tagged_table_rejects_zero_ways() {
+        let _: TaggedTable<u8> = TaggedTable::new(4, 0, 8, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be in 1..=256")]
+    fn tagged_table_rejects_more_than_256_ways() {
+        let _: TaggedTable<u8> = TaggedTable::new(1, 257, 8, 0);
     }
 
     #[test]

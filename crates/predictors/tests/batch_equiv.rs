@@ -65,7 +65,7 @@ fn scalar_run<P: DirectionPredictor>(p: &mut P, inputs: &[PredictInput]) -> Vec<
 
 /// Asserts batched == scalar: directions element-for-element, then the full
 /// predictor state (via `PartialEq` over every table word, weight, tag and
-/// LRU stamp), for both `predict_block` and `train_block`.
+/// recency rank), for both `predict_block` and `train_block`.
 fn assert_batch_equiv<P>(make: impl Fn() -> P, seed: u64)
 where
     P: DirectionPredictor + PartialEq + std::fmt::Debug,
@@ -204,8 +204,8 @@ fn yags_batched_equals_scalar() {
 
 #[test]
 fn tagged_gshare_batched_equals_scalar() {
-    // Exercises the fused LRU/clock sequence: hits and misses, allocation,
-    // eviction — all must leave the clock and stamps bit-identical.
+    // Exercises the fused LRU sequence: hits and misses, allocation,
+    // eviction — all must leave the recency ranks bit-identical.
     assert_batch_equiv(|| TaggedGshare::new(256, 6, 9, 18), 0x46);
 }
 

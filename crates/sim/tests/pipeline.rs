@@ -138,3 +138,30 @@ fn small_budget_cycle_result_is_byte_pinned() {
                 redirect: 1368.0, flush_restart: 6048.0 } }";
     assert_eq!(got, want, "\nactual:\n{got}\n");
 }
+
+/// The trace-feed byte pin: the tpcc run of
+/// `trace_feed_is_deterministic_and_matches_itself_across_reads`, formatted
+/// with full `Debug` precision, so a change to the cache, BTB or tagged
+/// tables under `run_cycles_trace` cannot shift its numbers silently.
+#[test]
+fn trace_feed_cycle_result_is_byte_pinned() {
+    let bench = workloads::benchmark("tpcc").unwrap();
+    let mut bt = Vec::new();
+    replay::record_trace(&bench.program(), bench.seed, 60_000, &mut bt).unwrap();
+    let mut reader = bptrace::BtReader::new(bt.as_slice()).unwrap();
+    let mut p = predictors::configs::bc_gskew(predictors::configs::Budget::K16);
+    let r = run_cycles_trace(
+        &mut reader,
+        &mut p,
+        &CycleConfig::isca04().budget(60_000).seed(bench.seed),
+    );
+    let got = format!("{r:?}");
+    let want = "CycleResult { benchmark: \"tpcc\", cycles: 61482.500000012544, \
+                committed_uops: 47988, final_mispredicts: 595, overrides: 0, \
+                fetched_uops: 249982, forced_critiques: 0, critiques: 0, \
+                data_counts: (51063, 46322, 15376), bubbles: BubbleProfile { \
+                icache: 2432.0, ftq_full: 17627.41666666612, \
+                ftq_empty: 3805.5000000024756, window_full: 21754.249999997723, \
+                redirect: 1136.0, flush_restart: 7184.0 } }";
+    assert_eq!(got, want, "\nactual:\n{got}\n");
+}

@@ -11,21 +11,21 @@ const INVALID: u64 = u64::MAX;
 
 /// One set-associative cache level with true-LRU replacement.
 ///
-/// Tags and LRU stamps live in two flat `sets × ways` arrays; set `s`
-/// owns indices `s * ways .. (s + 1) * ways`. A way never filled holds
-/// the invalid tag `u64::MAX` and stamp 0, and every fill stamps the
-/// (already advanced, so ≥ 1) clock. The victim is the first way with
-/// the minimum stamp: never-filled ways win, in index order, then the
-/// least recently used line.
+/// Tags and recency ranks live in two flat `sets × ways` arrays; set `s`
+/// owns indices `s * ways .. (s + 1) * ways`. A set's ranks are a
+/// permutation of `0..ways`: rank 0 is the most recently used way and
+/// rank `ways - 1` the victim. A new set starts at `ranks[w] = ways - 1 -
+/// w` with every tag invalid (`u64::MAX`), so never-filled ways stay
+/// older than every filled one, lowest index oldest, and fill in way
+/// order.
 #[derive(Clone, Debug)]
 pub struct Cache {
     tags: Vec<u64>,
-    lru: Vec<u64>,
+    ranks: Vec<u8>,
     ways: usize,
     line_shift: u32,
     set_bits: u32,
     set_mask: u64,
-    clock: u64,
     hits: u64,
     misses: u64,
 }
@@ -35,20 +35,28 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the line is smaller than 2 bytes or the geometry does
-    /// not give a power-of-two set count.
+    /// Panics if the associativity is outside `1..=256`, the line is
+    /// smaller than 2 bytes, or the geometry does not give a power-of-two
+    /// set count.
     #[must_use]
     pub fn new(p: &CacheParams) -> Self {
+        assert!(
+            (1..=256).contains(&p.ways),
+            "cache ways {} must be in 1..=256",
+            p.ways
+        );
         assert!(p.line_bytes >= 2, "cache lines must be at least 2 bytes");
         let sets = p.sets();
+        let oldest = (p.ways - 1) as u8;
         Self {
             tags: vec![INVALID; sets * p.ways],
-            lru: vec![0; sets * p.ways],
+            ranks: (0..sets * p.ways)
+                .map(|i| oldest - (i % p.ways) as u8)
+                .collect(),
             ways: p.ways,
             line_shift: p.line_bytes.trailing_zeros(),
             set_bits: sets.trailing_zeros(),
             set_mask: (sets - 1) as u64,
-            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -63,47 +71,51 @@ impl Cache {
         )
     }
 
-    /// The resident way of `tag` in the set starting at `base`, if any.
-    fn find(&self, base: usize, tag: u64) -> Option<usize> {
-        self.tags[base..base + self.ways]
-            .iter()
-            .position(|&t| t == tag)
-            .map(|w| base + w)
+    /// One pass over the set at `base` with no early exit: the way
+    /// holding `tag` (`ways` if none) and the victim way.
+    fn probe(&self, base: usize, tag: u64) -> (usize, usize) {
+        let oldest = (self.ways - 1) as u8;
+        let tags = &self.tags[base..base + self.ways];
+        let ranks = &self.ranks[base..base + self.ways];
+        let (mut hit, mut victim) = (self.ways, 0);
+        for (w, (&t, &r)) in tags.iter().zip(ranks).enumerate() {
+            hit = if t == tag { w } else { hit };
+            victim = if r == oldest { w } else { victim };
+        }
+        (hit, victim)
     }
 
-    /// Replaces the first minimum-stamp way of the set at `base` with `tag`.
-    fn install(&mut self, base: usize, tag: u64) {
-        let stamps = &self.lru[base..base + self.ways];
-        let mut victim = 0;
-        for (w, &s) in stamps.iter().enumerate().skip(1) {
-            if s < stamps[victim] {
-                victim = w;
-            }
+    /// Makes `way` of the set at `base` the most recently used.
+    fn touch(&mut self, base: usize, way: usize) {
+        let ranks = &mut self.ranks[base..base + self.ways];
+        let old = ranks[way];
+        for r in ranks.iter_mut() {
+            *r += u8::from(*r < old);
         }
-        self.tags[base + victim] = tag;
-        self.lru[base + victim] = self.clock;
+        ranks[way] = 0;
     }
 
     /// Accesses `addr`; returns whether it hit. Misses allocate the line.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         let (base, tag) = self.locate(addr);
-        if let Some(way) = self.find(base, tag) {
-            self.lru[way] = self.clock;
-            self.hits += 1;
-            return true;
-        }
-        self.misses += 1;
-        self.install(base, tag);
-        false
+        let (hit_way, victim) = self.probe(base, tag);
+        let hit = hit_way < self.ways;
+        let way = if hit { hit_way } else { victim };
+        self.tags[base + way] = tag;
+        self.touch(base, way);
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
+        hit
     }
 
-    /// Installs a line without counting an access (prefetch fill).
+    /// Installs a line without counting an access (prefetch fill). A
+    /// resident line keeps its recency.
     pub fn fill(&mut self, addr: u64) {
-        self.clock += 1;
         let (base, tag) = self.locate(addr);
-        if self.find(base, tag).is_none() {
-            self.install(base, tag);
+        let (hit_way, victim) = self.probe(base, tag);
+        if hit_way == self.ways {
+            self.tags[base + victim] = tag;
+            self.touch(base, victim);
         }
     }
 
@@ -111,7 +123,7 @@ impl Cache {
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
         let (base, tag) = self.locate(addr);
-        self.find(base, tag).is_some()
+        self.probe(base, tag).0 < self.ways
     }
 
     /// Demand hits so far.
@@ -317,6 +329,22 @@ mod tests {
         assert!(c.contains(a));
         assert!(!c.contains(b));
         assert!(c.contains(d));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be in 1..=256")]
+    fn zero_ways_are_rejected() {
+        let _ = Cache::new(&CacheParams { ways: 0, ..tiny() });
+    }
+
+    #[test]
+    #[should_panic(expected = "must be in 1..=256")]
+    fn more_than_256_ways_are_rejected() {
+        let _ = Cache::new(&CacheParams {
+            size_bytes: 257 * 64,
+            ways: 257,
+            ..tiny()
+        });
     }
 
     #[test]

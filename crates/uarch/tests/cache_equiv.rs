@@ -1,4 +1,4 @@
-//! Differential test of the flat tag/stamp cache layout: seeded random
+//! Differential test of the flat tag/rank cache layout: seeded random
 //! `access`/`fill`/`contains` sequences over several geometries must
 //! agree, call by call, with a naive true-LRU reference that keeps one
 //! `Vec` of `(valid, tag, lru)` ways per set; and the data hierarchy must
@@ -188,7 +188,9 @@ fn address(rng: &mut SplitMix, p: &CacheParams) -> u64 {
 
 #[test]
 fn flat_cache_matches_the_per_set_reference() {
-    for ways in [1, 2, 8, 16] {
+    // 64 ways (1 set of them is fully associative) drive recency ranks
+    // past 15, beyond a single 16-byte rank vector.
+    for ways in [1, 2, 8, 16, 64] {
         for line_bytes in [64, 128] {
             for sets in [1, 4, 32] {
                 let p = params(sets, ways, line_bytes, 1);
