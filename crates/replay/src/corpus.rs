@@ -21,12 +21,12 @@
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
-use bptrace::{BranchProfile, BranchRecord, BtBlockReader, BtBlockWriter, BtReader, BtWriter};
+use bptrace::{BranchProfile, BranchRecord, BtBlockWriter, BtReader, BtWriter};
 use predictors::DirectionPredictor;
 use workloads::{Benchmark, Program, Snapshot, Walker};
 
 use crate::checksum::{hash_file, HashingWriter};
-use crate::engine::{replay_blocks, replay_reader, ReplayConfig, ReplayResult};
+use crate::engine::{replay, ReplayConfig, ReplayResult};
 use crate::error::{ReplayError, Result};
 use crate::manifest::{Manifest, TraceEntry};
 
@@ -306,10 +306,9 @@ pub fn migrate_entry(dir: &Path, entry: &TraceEntry) -> Result<TraceEntry> {
 }
 
 /// Replays one corpus entry's trace straight off disk through
-/// `predictor`, negotiating the format version from the file header: v2
-/// traces stream through the chunked block decoder, v1 traces through
-/// the scalar record reader. Memory stays bounded either way — the trace
-/// is never materialized.
+/// `predictor` via [`replay`], which negotiates the format version from
+/// the file header. Memory stays bounded — the trace is never
+/// materialized.
 ///
 /// # Errors
 ///
@@ -320,20 +319,8 @@ pub fn replay_entry<P: DirectionPredictor>(
     predictor: &mut P,
     config: &ReplayConfig,
 ) -> Result<ReplayResult> {
-    use std::io::{Read as _, Seek, SeekFrom};
-    let mut file = std::fs::File::open(dir.join(&entry.bt_file))?;
-    let mut head = [0u8; 6];
-    let is_v2 = file.read_exact(&mut head).is_ok()
-        && bptrace::sniff_version(&head) == Some(bptrace::BT_VERSION);
-    file.seek(SeekFrom::Start(0))?;
-    let reader = BufReader::new(file);
-    if is_v2 {
-        let mut blocks = BtBlockReader::new(reader)?;
-        replay_blocks(&mut blocks, predictor, config)
-    } else {
-        let mut records = BtReader::new(reader)?;
-        replay_reader(&mut records, predictor, config)
-    }
+    let file = std::fs::File::open(dir.join(&entry.bt_file))?;
+    replay(BufReader::new(file), predictor, config)
 }
 
 /// Streams the recorded trace against a fresh correct-path walk of

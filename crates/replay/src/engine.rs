@@ -33,7 +33,7 @@
 //! by the `sim` crate.
 
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{BufRead, Read};
 
 use bptrace::{BranchKind, BranchRecord, BtBlockReader, BtReader, DecodedBlock};
 use predictors::{DirectionPredictor, HistoryBits, Pc, PredictBlock};
@@ -416,7 +416,7 @@ impl ReplaySession {
     /// once the budget is exhausted.
     ///
     /// Takes the record's fields rather than a [`BranchRecord`] so the
-    /// column-oriented v2 path ([`replay_blocks`]) can feed it straight
+    /// column-oriented v2 path ([`stream_blocks`]) can feed it straight
     /// from decoded block columns without materializing records.
     #[inline(always)]
     fn buffer(
@@ -452,11 +452,24 @@ impl ReplaySession {
         true
     }
 
-    /// [`buffer`](Self::buffer) from a decoded [`BranchRecord`], for the
-    /// record-at-a-time entry points.
+    /// [`buffer`](Self::buffer) from a decoded [`BranchRecord`], flushing
+    /// the chunk once it is full — the loop body of the record-at-a-time
+    /// entry points. Returns `false` once the budget is exhausted.
     #[inline(always)]
-    fn buffer_record(&mut self, rec: &BranchRecord, chunk: &mut Chunk) -> bool {
-        self.buffer(rec.pc, rec.kind, rec.taken, rec.uops_since_prev, chunk)
+    fn feed_record<P: DirectionPredictor>(
+        &mut self,
+        predictor: &mut P,
+        rec: &BranchRecord,
+        chunk: &mut Chunk,
+    ) -> bool {
+        if !self.buffer(rec.pc, rec.kind, rec.taken, rec.uops_since_prev, chunk) {
+            return false;
+        }
+        if chunk.is_full() {
+            self.flush_chunk(predictor, chunk);
+            chunk.clear();
+        }
+        true
     }
 
     /// Runs one buffered chunk through the fused predict+train kernel and
@@ -538,25 +551,33 @@ impl ReplaySession {
     }
 }
 
-/// Replays a `.bt` stream through `predictor` without materializing it.
+/// Replays a `.bt` stream through `predictor` without materializing it —
+/// the one replay entry point for in-memory images (`&bt[..]`) and files
+/// alike.
+///
+/// The format version is negotiated once, from the header peeked with
+/// [`BufRead::fill_buf`] (nothing is consumed): v2 streams go through the
+/// chunked block decoder, which feeds the predictor 64-branch chunks
+/// straight from the decoded columns; anything else goes through the
+/// scalar [`BtReader`], which reads v1 and rejects foreign or newer
+/// headers with a typed error. Results are bit-identical either way —
+/// the engine tests pin v1 against v2 over the same walk.
 ///
 /// # Examples
 ///
 /// Record a benchmark's correct path in memory, then stream it back
-/// through a conventional predictor one record at a time:
+/// through a conventional predictor:
 ///
 /// ```
-/// use bptrace::BtReader;
 /// use predictors::configs::{self, Budget};
-/// use replay::{record_trace, replay_reader, ReplayConfig};
+/// use replay::{record_trace, replay, ReplayConfig};
 ///
 /// let bench = workloads::benchmark("gzip").unwrap();
 /// let mut bt = Vec::new();
 /// record_trace(&bench.program(), bench.seed, 40_000, &mut bt)?;
 ///
-/// let mut reader = BtReader::new(bt.as_slice())?;
 /// let mut predictor = configs::gshare(Budget::K8);
-/// let result = replay_reader(&mut reader, &mut predictor, &ReplayConfig::with_budget(40_000))?;
+/// let result = replay(&bt[..], &mut predictor, &ReplayConfig::with_budget(40_000))?;
 /// assert_eq!(result.trace, "gzip");
 /// assert!(result.measured_conditionals > 0);
 /// // Per-branch profiles reconcile with the totals.
@@ -567,45 +588,48 @@ impl ReplaySession {
 ///
 /// # Errors
 ///
-/// Trace-format errors from the reader (corruption, truncation, I/O).
-pub fn replay_reader<R: Read, P: DirectionPredictor>(
-    reader: &mut BtReader<R>,
+/// Header validation and trace-format errors from the decoder
+/// (corruption, truncation, checksum mismatch, I/O).
+pub fn replay<R: BufRead, P: DirectionPredictor>(
+    mut source: R,
+    predictor: &mut P,
+    config: &ReplayConfig,
+) -> Result<ReplayResult> {
+    if bptrace::sniff_version(source.fill_buf()?) == Some(bptrace::BT_VERSION) {
+        stream_blocks(BtBlockReader::new(source)?, predictor, config)
+    } else {
+        stream_records(BtReader::new(source)?, predictor, config)
+    }
+}
+
+/// The record path of [`replay`]: decodes one [`BranchRecord`] at a time
+/// (either format version) and buffers it into 64-branch chunks. It is
+/// the reference decoder the block path must match bit-for-bit.
+fn stream_records<R: Read, P: DirectionPredictor>(
+    mut reader: BtReader<R>,
     predictor: &mut P,
     config: &ReplayConfig,
 ) -> Result<ReplayResult> {
     let mut session = ReplaySession::new(predictor, *config);
     let mut chunk = Chunk::new();
     while let Some(rec) = reader.next_record()? {
-        if !session.buffer_record(&rec, &mut chunk) {
+        if !session.feed_record(predictor, &rec, &mut chunk) {
             break;
-        }
-        if chunk.is_full() {
-            session.flush_chunk(predictor, &chunk);
-            chunk.clear();
         }
     }
     session.flush_chunk(predictor, &chunk);
     Ok(session.finish(reader.name().to_string(), predictor.name()))
 }
 
-/// Replays a v2 block stream through `predictor` via the chunked decode
-/// path: whole blocks decode into [`DecodedBlock`]'s reusable column
-/// buffers, and the engine feeds the predictor 64-branch chunks straight
-/// from those columns — no [`BranchRecord`] is materialized per branch,
-/// and no per-element history snapshot is taken (the chunk carries one
-/// start register; predictors reconstruct element histories from the
-/// outcome mask via [`DirectionPredictor::replay_block`]).
-///
-/// Must produce results bit-identical to [`replay_reader`] over the same
-/// stream — the scalar reader is the reference decoder for both format
-/// versions, and the engine tests pin exactly that.
-///
-/// # Errors
-///
-/// Trace-format errors from the block reader (corruption, truncation,
-/// checksum mismatch, I/O).
-pub fn replay_blocks<R: Read, P: DirectionPredictor>(
-    reader: &mut BtBlockReader<R>,
+/// The v2 path of [`replay`]: whole blocks decode into [`DecodedBlock`]'s
+/// reusable column buffers, and the engine feeds the predictor 64-branch
+/// chunks straight from those columns — no [`BranchRecord`] is
+/// materialized per branch, and no per-element history snapshot is taken
+/// (the chunk carries one start register; predictors reconstruct element
+/// histories from the outcome mask via
+/// [`DirectionPredictor::replay_block`]).
+fn stream_blocks<R: Read, P: DirectionPredictor>(
+    mut reader: BtBlockReader<R>,
     predictor: &mut P,
     config: &ReplayConfig,
 ) -> Result<ReplayResult> {
@@ -673,7 +697,7 @@ pub fn replay_blocks<R: Read, P: DirectionPredictor>(
 }
 
 /// Replays pre-decoded records through the batched 64-branch kernels —
-/// the same engine [`replay_reader`] drives, minus trace decoding, so
+/// the same engine [`replay`] drives, minus trace decoding, so
 /// throughput measurements isolate predictor-table time.
 #[must_use]
 pub fn replay_records<P: DirectionPredictor>(
@@ -685,12 +709,8 @@ pub fn replay_records<P: DirectionPredictor>(
     let mut session = ReplaySession::new(predictor, *config);
     let mut chunk = Chunk::new();
     for rec in records {
-        if !session.buffer_record(rec, &mut chunk) {
+        if !session.feed_record(predictor, rec, &mut chunk) {
             break;
-        }
-        if chunk.is_full() {
-            session.flush_chunk(predictor, &chunk);
-            chunk.clear();
         }
     }
     session.flush_chunk(predictor, &chunk);
@@ -730,28 +750,6 @@ pub fn decode_records(bytes: &[u8]) -> Result<(String, Vec<BranchRecord>)> {
         records.push(rec);
     }
     Ok((reader.name().to_string(), records))
-}
-
-/// Replays an in-memory `.bt` image (header included), negotiating the
-/// format version: v2 images route through the chunked block decoder
-/// ([`replay_blocks`]); v1 images through the scalar record reader
-/// ([`replay_reader`]). Results are bit-identical either way — the two
-/// paths are differentially pinned against each other.
-///
-/// # Errors
-///
-/// As [`replay_reader`], plus header validation.
-pub fn replay_bytes<P: DirectionPredictor>(
-    bytes: &[u8],
-    predictor: &mut P,
-    config: &ReplayConfig,
-) -> Result<ReplayResult> {
-    if bptrace::sniff_version(bytes) == Some(bptrace::BT_VERSION) {
-        let mut reader = BtBlockReader::new(bytes)?;
-        return replay_blocks(&mut reader, predictor, config);
-    }
-    let mut reader = BtReader::new(bytes)?;
-    replay_reader(&mut reader, predictor, config)
 }
 
 /// The direct-execution reference: walks `program`'s correct path and
@@ -798,7 +796,7 @@ mod tests {
     fn replay_produces_sane_stats() {
         let (bytes, _) = recorded("gzip", 60_000);
         let mut p = configs::gshare(Budget::K16);
-        let r = replay_bytes(&bytes, &mut p, &ReplayConfig::with_budget(60_000)).unwrap();
+        let r = replay(&bytes[..], &mut p, &ReplayConfig::with_budget(60_000)).unwrap();
         assert_eq!(r.trace, "gzip");
         assert_eq!(r.predictor, "gshare");
         assert!(r.measured_uops >= 40_000, "measured {}", r.measured_uops);
@@ -818,7 +816,7 @@ mod tests {
         let (bytes, bench) = recorded("gcc", 50_000);
         let cfg = ReplayConfig::with_budget(50_000);
         let mut a = configs::gshare(Budget::K8);
-        let from_trace = replay_bytes(&bytes, &mut a, &cfg).unwrap();
+        let from_trace = replay(&bytes[..], &mut a, &cfg).unwrap();
         let mut b = configs::gshare(Budget::K8);
         let direct = direct_replay(&bench.program(), bench.seed, &mut b, &cfg);
         assert_eq!(
@@ -833,7 +831,7 @@ mod tests {
         let cfg = ReplayConfig::with_budget(40_000);
         let run = || {
             let mut p = configs::bc_gskew(Budget::K8);
-            replay_bytes(&bytes, &mut p, &cfg).unwrap()
+            replay(&bytes[..], &mut p, &cfg).unwrap()
         };
         assert_eq!(run(), run());
     }
@@ -854,7 +852,7 @@ mod tests {
         assert_eq!(batched, scalar);
 
         let mut c = configs::bc_gskew(Budget::K8);
-        let streamed = replay_bytes(&bytes, &mut c, &cfg).unwrap();
+        let streamed = replay(&bytes[..], &mut c, &cfg).unwrap();
         assert_eq!(streamed, scalar);
     }
 
@@ -874,9 +872,9 @@ mod tests {
 
         let cfg = ReplayConfig::with_budget(50_000);
         let mut a = configs::bc_gskew(Budget::K8);
-        let from_v1 = replay_bytes(&v1, &mut a, &cfg).unwrap();
+        let from_v1 = replay(&v1[..], &mut a, &cfg).unwrap();
         let mut b = configs::bc_gskew(Budget::K8);
-        let from_v2 = replay_bytes(&v2, &mut b, &cfg).unwrap();
+        let from_v2 = replay(&v2[..], &mut b, &cfg).unwrap();
         assert_eq!(from_v1, from_v2, "format version changed replay results");
     }
 
@@ -889,9 +887,9 @@ mod tests {
         };
         let warm = ReplayConfig::with_budget(40_000);
         let mut p = Bimodal::new(4096);
-        let cold = replay_bytes(&bytes, &mut p, &all).unwrap();
+        let cold = replay(&bytes[..], &mut p, &all).unwrap();
         let mut p = Bimodal::new(4096);
-        let warmed = replay_bytes(&bytes, &mut p, &warm).unwrap();
+        let warmed = replay(&bytes[..], &mut p, &warm).unwrap();
         assert!(warmed.measured_conditionals < cold.measured_conditionals);
         assert!(warmed.measured_uops < cold.measured_uops);
         assert_eq!(warmed.replayed_records, cold.replayed_records);
@@ -908,9 +906,9 @@ mod tests {
         let (bytes, _) = recorded("unzip", 400_000);
         let cfg = ReplayConfig::with_budget(400_000);
         let mut bimodal = Bimodal::new(8 * 1024);
-        let weak = replay_bytes(&bytes, &mut bimodal, &cfg).unwrap();
+        let weak = replay(&bytes[..], &mut bimodal, &cfg).unwrap();
         let mut gshare = Gshare::new(8 * 1024, 8);
-        let strong = replay_bytes(&bytes, &mut gshare, &cfg).unwrap();
+        let strong = replay(&bytes[..], &mut gshare, &cfg).unwrap();
         assert!(
             strong.mispredicts < weak.mispredicts,
             "history predictor should beat bimodal on unzip: {} vs {}",
@@ -923,7 +921,7 @@ mod tests {
     fn h2p_branches_are_ranked_and_positive() {
         let (bytes, _) = recorded("tpcc", 60_000);
         let mut p = configs::gshare(Budget::K4);
-        let r = replay_bytes(&bytes, &mut p, &ReplayConfig::with_budget(60_000)).unwrap();
+        let r = replay(&bytes[..], &mut p, &ReplayConfig::with_budget(60_000)).unwrap();
         let top = r.h2p_branches(5);
         assert!(!top.is_empty(), "tpcc must have hard branches");
         assert!(top.windows(2).all(|w| w[0].mispredicts >= w[1].mispredicts));
@@ -936,7 +934,7 @@ mod tests {
         let (mut bytes, _) = recorded("art", 20_000);
         bytes.truncate(bytes.len() - 3);
         let mut p = Bimodal::new(64);
-        let err = replay_bytes(&bytes, &mut p, &ReplayConfig::with_budget(20_000)).unwrap_err();
+        let err = replay(&bytes[..], &mut p, &ReplayConfig::with_budget(20_000)).unwrap_err();
         assert!(matches!(err, crate::error::ReplayError::Trace(_)));
     }
 }

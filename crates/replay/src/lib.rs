@@ -12,10 +12,15 @@
 //! * [`Manifest`]/[`TraceEntry`] — the hand-parsed `corpus.manifest`
 //!   index: name, seed, uop budget, per-file checksums and the
 //!   [`bptrace::TraceStats`] summary.
-//! * [`replay_reader`]/[`replay_bytes`] — the **streaming replay
-//!   engine**: feeds `.bt` records to any conventional
-//!   [`predictors::DirectionPredictor`] without materializing the trace,
-//!   with warm-up handling mirroring the execution-driven simulator.
+//! * [`replay`]/[`replay_entry`] — the **streaming replay engine**:
+//!   feeds a `.bt` stream (an in-memory image, or a corpus file) to any
+//!   conventional [`predictors::DirectionPredictor`] without
+//!   materializing the trace, negotiating the format version once from
+//!   the header, with warm-up handling mirroring the execution-driven
+//!   simulator. [`replay_records`] runs the same kernels over
+//!   pre-decoded records ([`decode_records`]), and
+//!   [`replay_records_scalar`] is the per-branch reference they are
+//!   pinned against.
 //! * [`direct_replay`] — the no-trace reference path; corpus replay is
 //!   pinned bit-for-bit against it.
 //! * [`verify_corpus`]/[`cross_check_snapshot`] — integrity checking:
@@ -36,7 +41,7 @@
 //!
 //! ```
 //! use predictors::configs::{self, Budget};
-//! use replay::{replay_bytes, record_trace, ReplayConfig};
+//! use replay::{record_trace, replay, ReplayConfig};
 //!
 //! let bench = workloads::benchmark("gzip").unwrap();
 //! let program = bench.program();
@@ -44,7 +49,7 @@
 //! record_trace(&program, bench.seed, 30_000, &mut bt)?;
 //!
 //! let mut predictor = configs::gshare(Budget::K16);
-//! let result = replay_bytes(&bt, &mut predictor, &ReplayConfig::with_budget(30_000))?;
+//! let result = replay(&bt[..], &mut predictor, &ReplayConfig::with_budget(30_000))?;
 //! assert!(result.measured_conditionals > 0);
 //! # Ok::<(), replay::ReplayError>(())
 //! ```
@@ -65,8 +70,8 @@ pub use corpus::{
     verify_corpus, verify_corpus_report, verify_entry, QuarantineEntry, VerifyReport,
 };
 pub use engine::{
-    decode_records, direct_replay, replay_blocks, replay_bytes, replay_reader, replay_records,
-    replay_records_scalar, BranchReplay, ReplayConfig, ReplayResult,
+    decode_records, direct_replay, replay, replay_records, replay_records_scalar, BranchReplay,
+    ReplayConfig, ReplayResult,
 };
 pub use error::{ReplayError, Result};
 pub use fault::FaultPlan;

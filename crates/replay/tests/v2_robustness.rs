@@ -17,7 +17,7 @@ use bptrace::{
     salvage, sniff_version, BranchKind, BranchRecord, BtBlockWriter, BtWriter, BT_BLOCK_MAGIC,
     BT_VERSION,
 };
-use replay::{decode_records, record_trace, replay_bytes, FaultPlan, ReplayConfig};
+use replay::{decode_records, record_trace, replay, FaultPlan, ReplayConfig};
 
 /// xorshift64* — deterministic, dependency-free randomness for streams.
 struct Rng(u64);
@@ -191,7 +191,7 @@ fn fault_plan_flip_and_trunc_are_caught_by_the_v2_reader() {
     assert!(plan.corrupt_trace("gzip", &mut flipped).is_some());
     assert!(decode_records(&flipped).is_err());
     let mut p = predictors::configs::gshare(predictors::configs::Budget::K16);
-    assert!(replay_bytes(&flipped, &mut p, &cfg).is_err());
+    assert!(replay(&flipped[..], &mut p, &cfg).is_err());
     let report = salvage(&flipped).unwrap();
     assert_eq!(report.corrupt_spans, 1);
     assert!(report.records.len() < full.len());

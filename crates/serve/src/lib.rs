@@ -35,11 +35,12 @@
 
 pub mod dashboard;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod routes;
 pub mod server;
 pub mod state;
 
 pub use server::{signal, ServeConfig, Server};
+/// The workspace's JSON parser and string escaper, re-exported from `sim`.
+pub use sim::json;
 pub use state::ServerState;

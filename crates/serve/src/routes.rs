@@ -24,7 +24,7 @@ use bptrace::BtReader;
 use predictors::configs::Budget;
 use predictors::DirectionPredictor;
 use prophet_critic::{AnyProphet, CriticKind, HybridSpec, ProphetKind};
-use replay::{replay_bytes, ReplayConfig, ReplayResult, TraceEntry};
+use replay::{replay, ReplayConfig, ReplayResult, TraceEntry};
 use sim::experiments::common::{
     accuracy_cell_key, cycle_cell_key, cycle_cfg, replay_cell_key, select_benchmarks,
     trace_cycle_cell_key,
@@ -32,6 +32,7 @@ use sim::experiments::common::{
 use sim::experiments::tracecmp::{conventional_lineup, size_label};
 use sim::experiments::upc::suite_data_profile;
 use sim::experiments::{h2p, headline, tracecmp, tune};
+use sim::json::{self, Json};
 use sim::table::Table;
 use sim::{
     par_map, run_accuracy, run_cycles, run_cycles_trace, AccuracyResult, CycleConfig, CycleResult,
@@ -40,7 +41,6 @@ use sim::{
 use workloads::Benchmark;
 
 use crate::http::{HttpError, Request, Response};
-use crate::json::{self, Json};
 use crate::metrics::RequestSummary;
 use crate::state::{CellCounts, CorpusState, ServerState};
 
@@ -518,8 +518,12 @@ fn resolve_replay_cell(
     state.resolve(&key, || {
         let bt = read_trace_bytes(corpus, entry);
         let mut p = predictor.clone();
-        replay_bytes(&bt, &mut p, &ReplayConfig::with_budget(entry.uop_budget))
-            .expect("trace passed the startup integrity check")
+        replay(
+            &bt[..],
+            &mut p,
+            &ReplayConfig::with_budget(entry.uop_budget),
+        )
+        .expect("trace passed the startup integrity check")
     })
 }
 

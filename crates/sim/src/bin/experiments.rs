@@ -47,6 +47,7 @@ use std::time::Instant;
 
 use sim::experiments::headline::HeadlineMetrics;
 use sim::experiments::{all, by_id, ExpEnv, Experiment};
+use sim::json::escape;
 use sim::CellStore;
 
 const DEFAULT_JSON_PATH: &str = "BENCH_headline.json";
@@ -116,10 +117,6 @@ struct Timing {
     seconds: f64,
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn write_report(
     path: &str,
     env: &ExpEnv,
@@ -137,7 +134,7 @@ fn write_report(
         let comma = if i + 1 < timings.len() { "," } else { "" };
         out.push_str(&format!(
             "    {{\"id\": \"{}\", \"wall_clock_seconds\": {:.3}}}{comma}\n",
-            json_escape(t.id),
+            escape(t.id),
             t.seconds
         ));
     }

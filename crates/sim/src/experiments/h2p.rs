@@ -28,11 +28,12 @@ use std::collections::HashMap;
 use bptrace::{BranchProfile, BtReader, H2P_MAX_BIAS, H2P_MIN_OCCURRENCES};
 use predictors::configs::{self, Budget};
 use prophet_critic::HybridSpec;
-use replay::{record_trace, replay_bytes, ReplayConfig};
+use replay::{record_trace, replay, ReplayConfig};
 use workloads::{Benchmark, Program};
 
 use crate::accuracy::run_accuracy_observed;
 use crate::experiments::common::{cached, ExpEnv};
+use crate::json::escape;
 use crate::runner::{try_par_map, CellFailure};
 use crate::store::{CellKey, CellPayload};
 use crate::table::{f2, pct, Table};
@@ -183,7 +184,7 @@ fn h2p_one_bench(
 
         // Baseline: conventional predictor, trace replay (§6 split).
         let mut base = configs::bc_gskew(Budget::K16);
-        let base_replay = replay_bytes(&bt, &mut base, &ReplayConfig::with_budget(budget))
+        let base_replay = replay(&bt[..], &mut base, &ReplayConfig::with_budget(budget))
             .expect("in-memory trace is well-formed");
         let base_by_pc: HashMap<u64, (u64, u64, f64)> = base_replay
             .per_branch
@@ -473,8 +474,11 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
     json.push_str(&format!("  \"scale\": {},\n", env.scale));
     json.push_str(&format!("  \"bench_set\": \"{:?}\",\n", env.bench_set));
     json.push_str(&format!("  \"uop_budget\": {},\n", env.uop_budget()));
-    json.push_str(&format!("  \"baseline\": \"{}\",\n", baseline_label()));
-    json.push_str(&format!("  \"hybrid\": \"{}\",\n", spec.label()));
+    json.push_str(&format!(
+        "  \"baseline\": \"{}\",\n",
+        escape(&baseline_label())
+    ));
+    json.push_str(&format!("  \"hybrid\": \"{}\",\n", escape(&spec.label())));
     json.push_str("  \"benches\": [\n");
     for (i, b) in benches.iter().enumerate() {
         let comma = if i + 1 < benches.len() { "," } else { "" };
@@ -482,7 +486,7 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
             "    {{\"bench\": \"{}\", \"h2p_statics\": {}, \"h2p_occurrences\": {}, \
              \"baseline_misp\": {}, \"hybrid_misp\": {}, \"tage_misp\": {}, \
              \"tage_h2p_misp\": {}, \"worst\": [",
-            b.bench,
+            escape(&b.bench),
             b.h2p_statics,
             b.h2p_occurrences,
             b.baseline_misp,
@@ -511,8 +515,8 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
             let comma = if i + 1 < failures.len() { "," } else { "" };
             json.push_str(&format!(
                 "    {{\"label\": \"{}\", \"reason\": \"{}\"}}{comma}\n",
-                crate::table::json_escape(&f.label),
-                crate::table::json_escape(&f.reason)
+                escape(&f.label),
+                escape(&f.reason)
             ));
         }
         json.push_str("  ]\n");

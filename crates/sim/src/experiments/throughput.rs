@@ -39,14 +39,15 @@ use predictors::configs::{self, Budget};
 use predictors::DirectionPredictor;
 use prophet_critic::AnyProphet;
 use replay::{
-    decode_records, record_trace, record_trace_v1, replay_bytes, replay_records,
-    replay_records_scalar, ReplayConfig,
+    decode_records, record_trace, record_trace_v1, replay, replay_records, replay_records_scalar,
+    ReplayConfig,
 };
 
 use crate::experiments::common::ExpEnv;
 use crate::experiments::tracecmp::{conventional_lineup, size_label};
+use crate::json::escape;
 use crate::runner::par_map;
-use crate::table::{f2, json_escape, Table};
+use crate::table::{f2, Table};
 
 /// Default path of the machine-readable throughput report.
 pub const JSON_PATH: &str = "BENCH_throughput.json";
@@ -186,9 +187,9 @@ fn measure_decode(images: &[(Vec<u8>, Vec<u8>)], cfg: &ReplayConfig) -> DecodeSt
         assert_eq!(a, b, "v1 and v2 images decode to different streams");
         branches += a.1.len() as u64;
         let mut p = configs::gshare(Budget::K16);
-        let from_v1 = replay_bytes(v1, &mut p, cfg).expect("v1 replays");
+        let from_v1 = replay(&v1[..], &mut p, cfg).expect("v1 replays");
         let mut p = configs::gshare(Budget::K16);
-        let from_v2 = replay_bytes(v2, &mut p, cfg).expect("v2 replays");
+        let from_v2 = replay(&v2[..], &mut p, cfg).expect("v2 replays");
         assert_eq!(from_v1, from_v2, "format version changed replay results");
     }
 
@@ -228,7 +229,7 @@ fn measure_decode(images: &[(Vec<u8>, Vec<u8>)], cfg: &ReplayConfig) -> DecodeSt
         let secs = timed_pass(|| {
             for (v1, _) in images {
                 let mut p = configs::gshare(Budget::K16);
-                let _ = replay_bytes(v1, &mut p, cfg).unwrap();
+                let _ = replay(&v1[..], &mut p, cfg).unwrap();
             }
         });
         v1_replay = v1_replay.min(secs);
@@ -236,7 +237,7 @@ fn measure_decode(images: &[(Vec<u8>, Vec<u8>)], cfg: &ReplayConfig) -> DecodeSt
         let secs = timed_pass(|| {
             for (_, v2) in images {
                 let mut p = configs::gshare(Budget::K16);
-                let _ = replay_bytes(v2, &mut p, cfg).unwrap();
+                let _ = replay(&v2[..], &mut p, cfg).unwrap();
             }
         });
         v2_replay = v2_replay.min(secs);
@@ -373,7 +374,7 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
             "    {{\"configuration\": \"{}\", \"predictions\": {}, \"mispredicts\": {}, \
              \"misp_per_kuops\": {:.4}, \"scalar_preds_per_sec\": {:.0}, \
              \"batched_preds_per_sec\": {:.0}, \"speedup\": {:.3}}}{comma}\n",
-            json_escape(&r.label),
+            escape(&r.label),
             r.predictions,
             r.mispredicts,
             r.misp_per_kuops,
@@ -428,6 +429,7 @@ mod tests {
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].rows.len(), conventional_lineup().len());
         assert!(json.contains("\"schema\": \"bench_throughput_v2\""));
+        crate::json::parse(json.as_bytes()).unwrap();
         // Every row carries predictions and strictly positive rates.
         for row in &tables[0].rows {
             let predictions: u64 = row[1].parse().unwrap();

@@ -53,7 +53,7 @@ use predictors::configs::{self, Budget};
 use predictors::{Bimodal, DirectionPredictor, GAs, Local, Yags};
 use prophet_critic::{AnyProphet, CriticKind, HybridSpec, ProphetKind};
 use replay::{
-    cross_check_snapshot, record_trace, replay_bytes, QuarantineEntry, ReplayConfig, ReplayResult,
+    cross_check_snapshot, record_trace, replay, QuarantineEntry, ReplayConfig, ReplayResult,
 };
 use workloads::{Benchmark, Snapshot};
 
@@ -65,9 +65,10 @@ use crate::experiments::common::{
     accuracy_cell_key, cached, cycle_cell_key, cycle_cfg, replay_cell_key, trace_cycle_cell_key,
     ExpEnv,
 };
+use crate::json::escape;
 use crate::metrics::AccuracyResult;
 use crate::runner::{par_map, try_par_map, CellFailure};
-use crate::table::{f2, json_escape, pct, Table};
+use crate::table::{f2, pct, Table};
 
 /// Default path of the machine-readable tournament report.
 pub const JSON_PATH: &str = "BENCH_tracecmp.json";
@@ -261,7 +262,7 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
             );
             cached(env, &key, || {
                 let mut predictor = lineup[p].clone();
-                replay_bytes(&rec.bt, &mut predictor, &replay_cfg)
+                replay(&rec.bt[..], &mut predictor, &replay_cfg)
                     .expect("trace passed the integrity gate")
             })
         });
@@ -501,8 +502,8 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
             "    {{\"rank\": {}, \"configuration\": \"{}\", \"path\": \"{}\", \
              \"misp_per_kuops\": {:.4}, \"mispredict_percent\": {:.4}, \"upc\": {:.4}}}{comma}\n",
             i + 1,
-            e.label.replace('"', "\\\""),
-            e.path,
+            escape(&e.label),
+            escape(e.path),
             e.misp_per_kuops,
             e.mispredict_percent,
             e.upc,
@@ -514,8 +515,8 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
         let comma = if i + 1 < quarantine.len() { "," } else { "" };
         json.push_str(&format!(
             "\n    {{\"trace\": \"{}\", \"reason\": \"{}\"}}{comma}",
-            json_escape(&q.trace),
-            json_escape(&q.reason)
+            escape(&q.trace),
+            escape(&q.reason)
         ));
     }
     json.push_str(if quarantine.is_empty() {
@@ -528,8 +529,8 @@ pub fn run_with_report(env: &ExpEnv) -> (Vec<Table>, String) {
         let comma = if i + 1 < failures.len() { "," } else { "" };
         json.push_str(&format!(
             "\n    {{\"label\": \"{}\", \"reason\": \"{}\"}}{comma}",
-            json_escape(&f.label),
-            json_escape(&f.reason)
+            escape(&f.label),
+            escape(&f.reason)
         ));
     }
     json.push_str(if failures.is_empty() {
@@ -598,8 +599,9 @@ mod tests {
             .map(|r| r[3].parse::<f64>().unwrap())
             .collect();
         assert!(rates.windows(2).all(|w| w[0] <= w[1]), "{rates:?}");
-        // One H2P row per trace, and a parseable-looking report.
+        // One H2P row per trace, and a report that parses.
         assert_eq!(tables[1].rows.len(), 14);
+        crate::json::parse(json.as_bytes()).unwrap();
         assert!(json.contains("\"schema\": \"bench_tracecmp_v3\""));
         // Clean run: both robustness sections present and empty.
         assert!(json.contains("\"quarantine\": []"));

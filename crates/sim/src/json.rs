@@ -26,8 +26,8 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, in source order (duplicate keys: last one wins on
-    /// [`Json::get`] lookups never happens — first match returned).
+    /// An object, in source order. Duplicate keys are kept;
+    /// [`Json::get`] returns the first match.
     Obj(Vec<(String, Json)>),
 }
 

@@ -48,6 +48,10 @@
 //! SCALE=4 cargo run -p sim --release --bin experiments -- all
 //! ```
 //!
+//! The reports are hand-formatted; every string they embed goes through
+//! [`json::escape`], and [`json::parse`] is the one parser that reads
+//! them back (`bench_diff`) and reads `serve`'s request bodies.
+//!
 //! # Calibration
 //!
 //! The [`tune`] module is the deterministic configuration search behind
@@ -64,6 +68,7 @@
 mod accuracy;
 pub mod cycle;
 pub mod experiments;
+pub mod json;
 mod metrics;
 pub mod runner;
 pub mod store;

@@ -34,7 +34,7 @@
 //! * [`h2p_slices`] — corpus-backed hard-branch scoring: each benchmark
 //!   is recorded to an in-memory `.bt` trace, its
 //!   [`bptrace::BranchProfile`] flags the H2P statics, the baseline
-//!   replays the trace ([`replay::replay_bytes`]) and the hybrids
+//!   replays the trace ([`replay::replay`]) and the hybrids
 //!   re-execute with a per-commit observer
 //!   ([`run_accuracy_observed`])
 //!   — so the report shows *where* (which hard branches) a winning
@@ -50,7 +50,7 @@ use std::collections::{HashMap, HashSet};
 use bptrace::{BranchProfile, BtReader, H2P_MAX_BIAS, H2P_MIN_OCCURRENCES};
 use predictors::configs::{self, Budget};
 use prophet_critic::{CriticKind, HybridSpec, ProphetKind};
-use replay::{record_trace, replay_bytes, ReplayConfig};
+use replay::{record_trace, replay, ReplayConfig};
 use workloads::rng::SmallRng;
 use workloads::{Benchmark, MixProfile, Program};
 
@@ -870,7 +870,7 @@ pub fn h2p_slices(
         };
         let mut base = configs::bc_gskew(Budget::K16);
         let base_replay =
-            replay_bytes(&bt, &mut base, &replay_cfg).expect("in-memory trace is well-formed");
+            replay(&bt[..], &mut base, &replay_cfg).expect("in-memory trace is well-formed");
         let baseline_misp: u64 = base_replay
             .per_branch
             .iter()

@@ -79,6 +79,14 @@ fn missing_empty_and_corrupt_inputs_exit_3_with_diagnostics() {
     let (code, _, err) = run(&[good.as_os_str(), corrupt.as_os_str()]);
     assert_eq!(code, 3);
     assert!(err.contains("corrupt.json"), "{err}");
+
+    // Pathological nesting is bad input, not a stack overflow.
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000) + &"]".repeat(200_000)).unwrap();
+    let (code, _, err) = run(&[good.as_os_str(), deep.as_os_str()]);
+    assert_eq!(code, 3, "{err}");
+    assert!(err.contains("deep.json"), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -95,6 +103,26 @@ fn report_drift_exits_1_and_identity_exits_0() {
     let (code, out, _) = run(&[a.as_os_str(), b.as_os_str()]);
     assert_eq!(code, 1);
     assert!(out.contains("DRIFT upc"), "{out}");
+
+    // Row labels are UTF-8: a drifting row names its label intact.
+    let c = dir.join("c.json");
+    let d = dir.join("d.json");
+    std::fs::write(
+        &c,
+        "{\"r\": [{\"configuration\": \"gshare × vpr\", \"upc\": 1.0}]}\n",
+    )
+    .unwrap();
+    std::fs::write(
+        &d,
+        "{\"r\": [{\"configuration\": \"gshare × vpr\", \"upc\": 2.0}]}\n",
+    )
+    .unwrap();
+    let (code, out, _) = run(&[c.as_os_str(), d.as_os_str()]);
+    assert_eq!(code, 1, "{out}");
+    assert!(
+        out.contains("DRIFT r[configuration=gshare × vpr].upc"),
+        "{out}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

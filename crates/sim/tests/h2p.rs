@@ -35,4 +35,5 @@ fn h2p_sides_follow_the_paper_split() {
     assert!(tables[0].title.contains("re-execution"));
     assert!(json.contains("\"baseline\": \"16KB 2Bc-gskew alone\""));
     assert!(json.contains("\"hybrid\":"));
+    sim::json::parse(json.as_bytes()).unwrap();
 }

@@ -42,6 +42,7 @@ fn search_and_report_are_bit_identical_across_thread_counts() {
         seq_json, par_json,
         "BENCH_tune.json must not depend on --threads"
     );
+    sim::json::parse(seq_json.as_bytes()).unwrap();
     assert_eq!(seq_slices, par_slices);
 
     // And the underlying cells, spec for spec, counter for counter.
@@ -86,6 +87,7 @@ fn h2p_weighted_search_is_thread_identical_and_leaves_payloads_alone() {
     );
     assert!(seq_json.contains("\"h2p_objective\": {\"weight\": 0.6000"));
     assert!(seq_json.contains("\"h2p_reduction_percent\""));
+    sim::json::parse(seq_json.as_bytes()).unwrap();
 
     let plain = run_search(&TuneSpace::quick(), &env(2), &opts);
     assert_eq!(seq.ranked.len(), plain.ranked.len());
